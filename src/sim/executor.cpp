@@ -34,6 +34,9 @@ Executor::Executor(std::size_t machines, std::size_t workers,
   if (machines == 0) machines = 1;
   workers_ = workers < machines ? workers : machines;
   block_ = (machines + workers_ - 1) / workers_;
+  // Only as many workers as there are non-empty blocks: with k=5 over
+  // W=4, blocks of 2 leave the fourth worker past the end.
+  workers_ = (machines + block_ - 1) / block_;
   machines_.reserve(machines);
   for (std::size_t i = 0; i < machines; ++i) {
     machines_.emplace_back(fiber_stack_bytes);

@@ -66,7 +66,8 @@ class Executor {
   using MachineMain = std::function<void(std::size_t machine)>;
 
   /// `workers == 0` means hardware concurrency; the effective count is
-  /// clamped to [1, machines] and reported by worker_count().
+  /// the number of non-empty ceil(machines / W)-sized blocks (at most
+  /// min(W, machines)) and is reported by worker_count().
   Executor(std::size_t machines, std::size_t workers,
            std::size_t fiber_stack_bytes, IdleHooks idle);
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -20,6 +21,25 @@
 
 namespace km {
 namespace {
+
+/// Thread-granular rendezvous over the barrier's public protocol, the
+/// one the engine's idle hooks run: arrive, and while parked sample the
+/// sense word, recheck released(), and futex-wait on the sample (a flip
+/// between recheck and wait leaves the word != sample, so no wakeup is
+/// missed).  Returns the episode's stop decision.
+template <typename Combine, typename Finalize>
+bool arrive_and_wait(TreeBarrier& barrier, std::size_t who,
+                     Combine&& combine, Finalize&& finalize) {
+  if (barrier.arrive_begin(who, combine, finalize) ==
+      TreeBarrier::ArriveOutcome::kParked) {
+    while (true) {
+      const std::uint32_t seen = barrier.sense_word();
+      if (barrier.released(who)) break;
+      barrier.wait_sense(seen);
+    }
+  }
+  return barrier.stop_flag();
+}
 
 TEST(TreeBarrier, TopologyCoversEveryParticipantExactlyOnce) {
   for (const std::size_t n :
@@ -79,8 +99,8 @@ TEST(TreeBarrier, FoldsEachNodeOnceAndFinalizesOncePerEpisode) {
           for (int ep = 0; ep < kEpisodes; ++ep) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(jitter.below(150)));
-            const bool stop = barrier.arrive(
-                who,
+            const bool stop = arrive_and_wait(
+                barrier, who,
                 [&](std::size_t node, bool, std::size_t, std::size_t) {
                   folds[node].fetch_add(1);
                 },
@@ -117,7 +137,7 @@ TEST(TreeBarrier, ResetRearmsAfterStop) {
       std::vector<std::jthread> threads;
       for (std::size_t who = 0; who < 3; ++who) {
         threads.emplace_back([&, who] {
-          if (barrier.arrive(who, no_fold, [] { return true; })) {
+          if (arrive_and_wait(barrier, who, no_fold, [] { return true; })) {
             stops.fetch_add(1);
           }
         });

@@ -16,10 +16,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/executor.hpp"
@@ -152,28 +154,46 @@ TEST(ExecutorPool, WorkerCountResolvesAndClamps) {
   EXPECT_EQ(single.worker_count(), 2u);
 }
 
-TEST(ExecutorPool, BlockAssignmentIsContiguousAndMonotone) {
-  const Executor ex(10, 3, 0, IdleHooks{});
-  EXPECT_EQ(ex.worker_of(0), 0u);
-  std::size_t prev = 0;
-  for (std::size_t m = 0; m < ex.machine_count(); ++m) {
-    const std::size_t w = ex.worker_of(m);
-    EXPECT_LT(w, ex.worker_count());
-    EXPECT_GE(w, prev);  // never jumps backwards: contiguous blocks
-    prev = w;
+/// (machines, workers) shapes for the pool tests: the listed ones plus
+/// every k in [1, 33] at every W in [1, 9].  W is always explicit, so no
+/// shape depends on the host's core count; the grid covers every way
+/// ceil(k/W)-sized blocks can leave a trailing worker empty (k=5, W=4).
+std::vector<std::pair<std::size_t, std::size_t>> pool_shapes(
+    std::initializer_list<std::pair<std::size_t, std::size_t>> listed) {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes(listed);
+  for (std::size_t k = 1; k <= 33; ++k) {
+    for (std::size_t w = 1; w <= 9; ++w) shapes.emplace_back(k, w);
   }
-  EXPECT_EQ(prev, ex.worker_count() - 1);  // every worker owns machines
+  return shapes;
+}
+
+TEST(ExecutorPool, BlockAssignmentIsContiguousAndMonotone) {
+  for (const auto& [machines, workers] : pool_shapes({{10, 3}})) {
+    const Executor ex(machines, workers, 0, IdleHooks{});
+    EXPECT_EQ(ex.worker_of(0), 0u);
+    std::size_t prev = 0;
+    for (std::size_t m = 0; m < ex.machine_count(); ++m) {
+      const std::size_t w = ex.worker_of(m);
+      EXPECT_LT(w, ex.worker_count())
+          << "machine " << m << " at k=" << machines << ", W=" << workers;
+      EXPECT_GE(w, prev);  // never jumps backwards: contiguous blocks
+      prev = w;
+    }
+    // every worker owns machines
+    EXPECT_EQ(prev, ex.worker_count() - 1)
+        << "k=" << machines << ", W=" << workers;
+  }
 }
 
 TEST(ExecutorPool, EveryMachineRunsExactlyOnceAtAnyWorkerCount) {
-  constexpr std::size_t kMachines = 32;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{5}, kMachines}) {
-    std::vector<std::atomic<int>> runs(kMachines);
-    Executor ex(kMachines, workers, 0, IdleHooks{});
+  for (const auto& [machines, workers] :
+       pool_shapes({{32, 1}, {32, 2}, {32, 5}, {32, 32}})) {
+    std::vector<std::atomic<int>> runs(machines);
+    Executor ex(machines, workers, 0, IdleHooks{});
     ex.run([&](std::size_t m) { runs[m].fetch_add(1); });
-    for (std::size_t m = 0; m < kMachines; ++m) {
-      EXPECT_EQ(runs[m].load(), 1) << "machine " << m << " at W=" << workers;
+    for (std::size_t m = 0; m < machines; ++m) {
+      EXPECT_EQ(runs[m].load(), 1)
+          << "machine " << m << " at k=" << machines << ", W=" << workers;
     }
   }
 }

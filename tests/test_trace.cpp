@@ -212,9 +212,9 @@ TEST(TraceExport, ChromeTraceValidatesInProcess) {
   ASSERT_NE(session, nullptr);
 
   const std::string json = session->chrome_trace_json("known_program");
-  trace_check::JsonValue doc;
+  km::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(trace_check::parse_json(json, doc, error)) << error;
+  ASSERT_TRUE(km::parse_json(json, doc, error)) << error;
   const trace_check::CheckResult result =
       trace_check::check_chrome_trace(doc, k);
   EXPECT_TRUE(result.ok()) << ::testing::PrintToString(result.errors);
@@ -232,9 +232,9 @@ TEST(TraceExport, LinkTraceValidatesInProcess) {
   ASSERT_NE(session, nullptr);
 
   const std::string json = session->link_matrix_json();
-  trace_check::JsonValue doc;
+  km::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(trace_check::parse_json(json, doc, error)) << error;
+  ASSERT_TRUE(km::parse_json(json, doc, error)) << error;
   const trace_check::CheckResult result =
       trace_check::check_link_trace(doc, k);
   EXPECT_TRUE(result.ok()) << ::testing::PrintToString(result.errors);
@@ -261,7 +261,6 @@ const std::map<std::string, std::string>& property_datasets() {
       {"connectivity", "gnp:n=64,p=0.05"},
       {"connectivity_baseline", "gnp:n=64,p=0.05"},
       {"mst", "gnp:n=64,p=0.08,maxw=1000"},
-      {"mst_sketch", "gnp:n=48,p=0.08,maxw=1000"},
       {"pagerank", "gnp:n=64,p=0.05"},
       {"pagerank_baseline", "gnp:n=64,p=0.05"},
       {"sort", "keys:n=512"},

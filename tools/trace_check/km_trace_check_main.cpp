@@ -42,15 +42,14 @@ bool read_file(const std::string& path, std::string& out) {
 bool run_check(const std::string& path, std::size_t expect_k, bool links,
                std::string& summary) {
   using km::trace_check::CheckResult;
-  using km::trace_check::JsonValue;
   std::string text;
   if (!read_file(path, text)) {
     std::fprintf(stderr, "km_trace_check: cannot read %s\n", path.c_str());
     std::exit(2);
   }
-  JsonValue doc;
+  km::JsonValue doc;
   std::string parse_error;
-  if (!km::trace_check::parse_json(text, doc, parse_error)) {
+  if (!km::parse_json(text, doc, parse_error)) {
     std::fprintf(stderr, "km_trace_check: %s: %s\n", path.c_str(),
                  parse_error.c_str());
     return false;

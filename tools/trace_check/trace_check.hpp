@@ -13,9 +13,7 @@
 //    shape of every matrix, a zero diagonal (machines never message
 //    themselves), and strictly increasing superstep indices.
 //
-// The JSON layer is the repo-wide read-side parser (util/json_parse.hpp,
-// originally written here and promoted once km_serve needed it too).
-// The aliases below keep existing km::trace_check:: spellings working.
+// The JSON layer is the repo-wide read-side parser (util/json_parse.hpp).
 //
 // Built as a library (km_trace_check_lib) so tests/test_trace.cpp can
 // validate exports in-process, plus the km_trace_check CLI for CI.
@@ -29,9 +27,6 @@
 #include "util/json_parse.hpp"
 
 namespace km::trace_check {
-
-using km::JsonValue;
-using km::parse_json;
 
 struct CheckResult {
   std::vector<std::string> errors;  ///< empty means the document is valid
