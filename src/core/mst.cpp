@@ -91,20 +91,21 @@ DistributedMstResult run_boruvka(const WeightedGraph& g,
       std::unordered_map<Vertex, std::uint32_t> nbr_frag;
       {
         std::vector<bool> target(k);
+        Writer w;
         for (std::size_t i = 0; i < owned.size(); ++i) {
           const Vertex v = owned[i];
           std::fill(target.begin(), target.end(), false);
           for (Vertex u : g.neighbors(v)) target[part.home(u)] = true;
-          Writer w;
-          w.put_varint(v);
-          w.put_varint(frag[i]);
-          const auto payload = w.take();
           for (std::size_t m = 0; m < k; ++m) {
             if (!target[m]) continue;
             if (m == self) {
               nbr_frag[v] = frag[i];
             } else {
-              ctx.send(m, kFragPushTag, std::vector<std::byte>(payload));
+              // Re-encoding two varints into each link's frame is cheaper
+              // than one refcounted buffer released on k receivers.
+              w.put_varint(v);
+              w.put_varint(frag[i]);
+              ctx.send(m, kFragPushTag, w);
             }
           }
         }

@@ -33,13 +33,6 @@ struct RunParams {
   /// B = Theta(log^2 n), resolved against the dataset's n at run time.
   std::uint64_t bandwidth_bits = 0;
   std::uint64_t seed = 1;  ///< drives dataset, partition, and engine RNGs
-  /// Message-plane framing threshold (EngineConfig::framed_payload_max_bytes);
-  /// 0 disables framing, kFramedPayloadAuto (the default) derives the
-  /// threshold from the resolved bandwidth — run_workload() replaces the
-  /// sentinel with framed_payload_default_bytes(B) so serialized params
-  /// always carry the concrete value.  Transport policy only — never
-  /// changes metrics.
-  std::size_t frame_bytes = kFramedPayloadAuto;
   bool record_timeline = true;  ///< per-superstep breakdown in the result
   bool check = true;  ///< verify against the sequential reference
   /// Wall-time tracing (EngineConfig::trace): phase spans + counter

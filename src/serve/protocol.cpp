@@ -62,16 +62,6 @@ bool parse_request(std::string_view line, Request& out, std::string& error) {
       out.params.bandwidth_bits = uint_value;
     } else if (key == "seed" && as_uint(value, uint_value)) {
       out.params.seed = uint_value;
-    } else if (key == "frame") {
-      // Number, or the string "auto" for the derived-from-B default.
-      if (value.is(JsonValue::Kind::kString) && value.string == "auto") {
-        out.params.frame_bytes = kFramedPayloadAuto;
-      } else if (as_uint(value, uint_value)) {
-        out.params.frame_bytes = static_cast<std::size_t>(uint_value);
-      } else {
-        error = "field 'frame' must be a non-negative integer or \"auto\"";
-        return false;
-      }
     } else if (key == "workers" && as_uint(value, uint_value)) {
       out.params.workers = static_cast<std::size_t>(uint_value);
     } else if (key == "check" && value.is(JsonValue::Kind::kBool)) {

@@ -80,19 +80,6 @@ void MachineContext::account_send(std::size_t dst,
   row_max_ = std::max(row_max_, out_bits_[dst]);
 }
 
-// Framing pays a memcpy to save a refcounted buffer per message; with a
-// single message on the link there is nothing to amortize it against, so
-// a link's first small message takes the zero-copy path and framing
-// starts from the second.  (Delivery order is independent of the split:
-// the messages vector is authoritative.)  The threshold is the
-// EngineConfig knob; 0 turns framing off.
-bool MachineContext::should_frame(const LinkOut& link,
-                                  std::size_t payload_bytes) const {
-  const std::size_t threshold = config().framed_payload_max_bytes;
-  return threshold > 0 && payload_bytes <= threshold &&
-         !link.messages.empty();
-}
-
 Message MachineContext::stamp(std::size_t dst, std::uint16_t tag) const {
   Message msg;
   msg.src = static_cast<std::uint32_t>(id_);
@@ -113,9 +100,9 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag,
   link.messages.push_back(std::move(msg));
 }
 
-void MachineContext::send_framed(LinkOut& link, std::size_t dst,
-                                 std::uint16_t tag,
+void MachineContext::send_framed(std::size_t dst, std::uint16_t tag,
                                  std::span<const std::byte> payload) {
+  LinkOut& link = link_for(dst);
   account_send(dst, payload.size());
   // The frame is one pooled buffer per (src, dst, superstep); its entries
   // are length-prefixed and appear in the same order as the indices in
@@ -133,39 +120,23 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag,
 #if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
 #endif
-  LinkOut& link = link_for(dst);
-  if (should_frame(link, payload.size())) {
-    send_framed(link, dst, tag, payload);
-    recycle_buffer(std::move(payload));
-  } else {
-    account_send(dst, payload.size());
-    Message msg = stamp(dst, tag);
-    msg.payload = PayloadRef(std::move(payload));
-    link.messages.push_back(std::move(msg));
-  }
+  send_framed(dst, tag, payload);
+  recycle_buffer(std::move(payload));
 }
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag, Writer& writer) {
 #if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
 #endif
-  LinkOut& link = link_for(dst);
-  if (should_frame(link, writer.size_bytes())) {
-    send_framed(link, dst, tag, writer.view());
-    writer.clear();  // consumed; capacity stays with the writer
-  } else {
-    account_send(dst, writer.size_bytes());
-    Message msg = stamp(dst, tag);
-    msg.payload = PayloadRef(writer.take());
-    link.messages.push_back(std::move(msg));
-  }
+  send_framed(dst, tag, writer.view());
+  writer.clear();  // consumed; capacity stays with the writer
 }
 
 void MachineContext::broadcast(std::uint16_t tag, Writer& writer) {
   const PayloadRef payload(writer.take());
   for (std::size_t dst = 0; dst < k(); ++dst) {
     if (dst == id_) continue;
-    send(dst, tag, payload);  // shares the buffer, no copy, never framed
+    send(dst, tag, payload);  // shares the buffer, no copy
   }
 }
 
@@ -243,13 +214,6 @@ Engine::Engine(std::size_t k, EngineConfig config)
       barrier_(k),
       node_accums_(barrier_.node_count()) {
   if (k_ < 1) throw std::invalid_argument("Engine: k must be >= 1");
-  // Resolve the framing threshold once, here, so every consumer of
-  // config() (should_frame, tests poking at engine.config()) sees the
-  // concrete policy instead of the auto sentinel.
-  if (config_.framed_payload_max_bytes == kFramedPayloadAuto) {
-    config_.framed_payload_max_bytes =
-        framed_payload_default_bytes(config_.bandwidth_bits);
-  }
   for (NodeAccum& acc : node_accums_) {
     acc.recv_bits.assign(k_, 0);
     acc.recv_msgs.assign(k_, 0);

@@ -24,28 +24,21 @@
 //    into a per-destination LinkOut owned by the sending machine and
 //    accumulates that link's bit/message counters on the fly, so by the
 //    time a machine arrives at the barrier its outbound traffic is fully
-//    bucketed and costed.  Small payloads (<=
-//    EngineConfig::framed_payload_max_bytes, by default derived from B
-//    via framed_payload_default_bytes() in sim/message.hpp; 0 disables
-//    framing)
-//    produced by the Writer/vector overloads are
-//    *framed* from the link's second message of the superstep onward:
-//    their bytes are appended to one length-prefixed frame buffer per
-//    (src, dst, superstep) — layout per entry:
-//    varint(payload_len) | payload bytes — instead of each becoming a
-//    refcounted heap buffer of its own.  (A link's first message has
-//    nothing to amortize the copy against and takes the zero-copy
-//    path.)  One pooled frame buffer
-//    amortizes the per-message fixed cost (PayloadBuf object + refcount
-//    traffic + allocator round trip) across every small message on the
-//    link, which is what dominates tiny-payload workloads.  Accounting is
-//    deliberately *unbatched*: every message is still charged
-//    Message::kHeaderBits + 8 * payload_bytes against its link, framed or
-//    not, so rounds/bits/max_link_bits are byte-identical to an
-//    unbatched plane (tests/test_exchange_determinism.cpp enforces
-//    this).  broadcast() and the PayloadRef overload are never framed:
-//    they share one immutable PayloadRef across receivers (zero-copy),
-//    which is already cheaper than copying into k-1 frames.
+//    bucketed and costed.  Owned payloads — the Writer and vector
+//    overloads — are *framed*: their bytes are appended to one
+//    length-prefixed frame buffer per (src, dst, superstep) — layout per
+//    entry: varint(payload_len) | payload bytes — instead of each
+//    becoming a refcounted heap buffer of its own.  One pooled frame
+//    buffer amortizes the per-message fixed cost (PayloadBuf object +
+//    refcount traffic + allocator round trip) across every message on
+//    the link.  The PayloadRef overload (broadcast(), two-hop routing)
+//    is the shared path: it keeps one immutable buffer across receivers
+//    (zero-copy), which is already cheaper than copying into k-1 frames.
+//    The argument's type picks the path.  Accounting is deliberately
+//    *unbatched*: every message is charged Message::kHeaderBits +
+//    8 * payload_bytes against its link, framed or not, so
+//    rounds/bits/max_link_bits are a pure function of the program
+//    (tests/test_exchange_determinism.cpp enforces this).
 //  - Phase 2 (merge, folding up the barrier tree): the superstep
 //    rendezvous is a sense-reversing arity-4 combining-tree barrier
 //    (sim/barrier.hpp).  The last arriver at each tree node folds its
@@ -61,8 +54,8 @@
 //    LinkOuts addressed to it from all k sources in ascending source
 //    order, in parallel with every other machine, without any lock.  A
 //    link's frame buffer is wrapped in one PayloadRef and every framed
-//    message becomes a zero-copy slice of it, interleaved with unframed
-//    messages in original send order.  LinkOuts are double-buffered by
+//    message becomes a zero-copy slice of it, interleaved with shared
+//    refs in original send order.  LinkOuts are double-buffered by
 //    barrier parity so the drain of superstep s never races the sends of
 //    superstep s+1; the tree barrier's acq_rel arrival chain and
 //    release-on-sense-flip provide the happens-before edges (tsan
@@ -123,17 +116,6 @@ struct EngineConfig {
   /// first error and propagated down the barrier tree as a stop, never a
   /// deadlock.
   std::function<void(std::uint64_t superstep)> barrier_fault_injection = {};
-  /// Largest Writer/vector payload (bytes) the message plane batches into
-  /// a per-link frame instead of giving it a refcounted buffer of its
-  /// own; 0 disables framing entirely.  The default kFramedPayloadAuto
-  /// derives the threshold from B at engine construction —
-  /// framed_payload_default_bytes(bandwidth_bits), one round's worth of
-  /// bytes clamped to [64, 4096] — so the knob only needs touching to
-  /// pin an explicit policy.  Pure transport policy either way: rounds,
-  /// bits, and delivery order are byte-identical at every setting (the
-  /// Framing property tests sweep this knob, including the derived
-  /// value, to prove it).
-  std::size_t framed_payload_max_bytes = kFramedPayloadAuto;
   /// OS threads the executor multiplexes the k machine fibers over; 0
   /// means hardware concurrency, and the effective count is clamped to
   /// [1, k].  Pure execution policy: results are byte-identical at every
@@ -165,7 +147,9 @@ class MachineContext {
   Rng& rng() noexcept { return rng_; }
   const EngineConfig& config() const noexcept;
 
-  /// Buffer a message for the next exchange. dst != id().
+  /// Buffer a message for the next exchange. dst != id().  A PayloadRef
+  /// is shared as-is (zero-copy); the vector and Writer overloads copy
+  /// their bytes into the link's frame (the Writer keeps its capacity).
   void send(std::size_t dst, std::uint16_t tag, PayloadRef payload);
   void send(std::size_t dst, std::uint16_t tag, std::vector<std::byte> payload);
   void send(std::size_t dst, std::uint16_t tag, Writer& writer);
@@ -208,14 +192,9 @@ class MachineContext {
   /// Charges the link (unbatched formula) and updates the sender's row
   /// aggregates.  Every send path funnels through here.
   void account_send(std::size_t dst, std::uint64_t payload_bytes);
-  /// Transport policy: payloads up to config().framed_payload_max_bytes
-  /// are framed from the link's second message onward (one message has
-  /// nothing to amortize the copy against).  Never affects accounting or
-  /// delivery order.
-  bool should_frame(const LinkOut& link, std::size_t payload_bytes) const;
-  /// Appends a small payload to the link's frame (acquiring a pooled
-  /// buffer on first use) and records the framed entry.
-  void send_framed(LinkOut& link, std::size_t dst, std::uint16_t tag,
+  /// Validates dst, charges the link, and appends an owned payload to
+  /// the link's frame (acquiring a pooled buffer on first use).
+  void send_framed(std::size_t dst, std::uint16_t tag,
                    std::span<const std::byte> payload);
 
   Engine* engine_;

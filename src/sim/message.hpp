@@ -8,12 +8,14 @@
 // Payloads are immutable and reference-counted (PayloadRef): a broadcast
 // to k-1 machines shares one buffer instead of making k-1 deep copies,
 // and two-hop routing forwards the original envelope bytes without
-// re-serializing.  Immutability is what makes the sharing safe — no
-// receiver can observe another receiver's mutations, because there are
-// none.  The refcount is intrusive and the buffer object itself recycles
-// through a thread-local pool (alongside the byte storage, which rotates
-// through util/buffer_pool.hpp), so steady-state message creation does
-// not touch the allocator at all.
+// re-serializing.  Owned bytes (Writer/vector sends) travel in their
+// link's frame instead and arrive as slices of it (sim/engine.hpp).
+// Immutability is what makes the sharing safe — no receiver can observe
+// another receiver's mutations, because there are none.  The refcount is
+// intrusive and the buffer object itself recycles through a thread-local
+// pool (alongside the byte storage, which rotates through
+// util/buffer_pool.hpp), so steady-state message creation does not touch
+// the allocator at all.
 #pragma once
 
 #include <atomic>
@@ -73,9 +75,9 @@ void recycle_payload_buf(PayloadBuf* buf) noexcept;
 
 /// Shared, immutable byte buffer (payload of a Message).  Cheap to copy:
 /// copies share the underlying storage and bump an atomic refcount.  A
-/// PayloadRef can view a suffix of another's buffer (see suffix()), which
-/// routing uses to peel envelope headers without copying the inner
-/// payload.
+/// PayloadRef can view part of another's buffer (see slice() and
+/// remove_prefix()), which routing uses to peel envelope headers without
+/// copying the inner payload.
 class PayloadRef {
  public:
   PayloadRef() = default;
@@ -120,14 +122,6 @@ class PayloadRef {
   auto begin() const noexcept { return view_.begin(); }
   auto end() const noexcept { return view_.end(); }
 
-  /// Zero-copy sub-view starting at `offset`, sharing this buffer's
-  /// ownership.  offset is clamped to size().
-  PayloadRef suffix(std::size_t offset) const noexcept {
-    PayloadRef out(*this);  // bumps the refcount
-    out.remove_prefix(offset);
-    return out;
-  }
-
   /// Zero-copy sub-view of `len` bytes starting at `offset`, sharing this
   /// buffer's ownership.  Both are clamped to the view.  The message
   /// plane uses this to hand each framed message its bytes out of the
@@ -142,8 +136,8 @@ class PayloadRef {
     return out;
   }
 
-  /// Narrows this ref's view in place (no refcount traffic) — the
-  /// move-friendly flavor of suffix().  offset is clamped to size().
+  /// Narrows this ref's view in place to the bytes from `offset` on (no
+  /// refcount traffic).  offset is clamped to size().
   void remove_prefix(std::size_t offset) noexcept {
     view_ = view_.subspan(std::min(offset, view_.size()));
   }
@@ -189,46 +183,6 @@ struct Message {
     return kHeaderBits + payload.size() * 8;
   }
 };
-
-/// Sentinel for EngineConfig::framed_payload_max_bytes meaning "derive
-/// the framing threshold from the per-link bandwidth B" — see
-/// framed_payload_default_bytes().  The explicit knob remains an
-/// override: any other value (including 0 = framing off) is used as-is.
-inline constexpr std::size_t kFramedPayloadAuto =
-    static_cast<std::size_t>(-1);
-
-/// Clamp range for the derived framing threshold.  The floor keeps
-/// framing alive at tiny B (one varint-prefixed entry must still be
-/// worth batching); the ceiling stops huge-B configurations from
-/// memcpy-ing multi-KiB payloads that amortize an allocation fine on
-/// their own.
-inline constexpr std::size_t kFramedPayloadMinDefaultBytes = 64;
-inline constexpr std::size_t kFramedPayloadMaxDefaultBytes = 4096;
-
-/// Derived default for EngineConfig::framed_payload_max_bytes: the
-/// largest payload (bytes) the message plane batches into a per-link
-/// frame instead of giving it a refcounted buffer of its own.  Framing
-/// exists for messages far below the per-link round budget — a payload
-/// that fills a round alone amortizes its buffer — so the default is
-/// one round's worth of bytes, B/8, clamped to
-/// [kFramedPayloadMinDefaultBytes, kFramedPayloadMaxDefaultBytes].
-/// (The static 256-byte default this replaces sat at exactly B/8 for
-/// the common B=2048 microbench setting; now every B gets that fit.)
-/// Applies to the Writer/vector send overloads, from a link's second
-/// message of the superstep onward; PayloadRef sends (including
-/// broadcast) always stay zero-copy shared.  Purely a transport policy:
-/// accounting never depends on it, whatever the threshold resolves to.
-constexpr std::size_t framed_payload_default_bytes(
-    std::uint64_t bandwidth_bits) noexcept {
-  const std::uint64_t round_bytes = bandwidth_bits / 8;
-  if (round_bytes < kFramedPayloadMinDefaultBytes) {
-    return kFramedPayloadMinDefaultBytes;
-  }
-  if (round_bytes > kFramedPayloadMaxDefaultBytes) {
-    return kFramedPayloadMaxDefaultBytes;
-  }
-  return static_cast<std::size_t>(round_bytes);
-}
 
 /// Tags >= kReservedTagBase are reserved for the runtime (collectives,
 /// two-hop routing envelopes); algorithms must use smaller tags.

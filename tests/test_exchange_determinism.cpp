@@ -180,19 +180,23 @@ TEST(PayloadRef, CopiesShareTheBuffer) {
   EXPECT_TRUE(std::equal(a.begin(), a.end(), c.begin(), c.end()));
 }
 
-TEST(PayloadRef, SuffixIsZeroCopy) {
+TEST(PayloadRef, RemovePrefixIsZeroCopy) {
   Writer w;
   w.put_varint(3);          // 1 byte header
   w.put_u64(0x0123456789abcdefULL);
   PayloadRef whole(w.take());
-  const PayloadRef tail = whole.suffix(1);
+  PayloadRef tail = whole;
+  tail.remove_prefix(1);
   EXPECT_TRUE(tail.shares_buffer_with(whole));
   EXPECT_EQ(tail.data(), whole.data() + 1);
   EXPECT_EQ(tail.size(), whole.size() - 1);
   Reader r(tail);
   EXPECT_EQ(r.get_u64(), 0x0123456789abcdefULL);
   // Clamped past the end: empty view, still shares ownership.
-  EXPECT_EQ(whole.suffix(1000).size(), 0u);
+  PayloadRef past = whole;
+  past.remove_prefix(1000);
+  EXPECT_EQ(past.size(), 0u);
+  EXPECT_TRUE(past.shares_buffer_with(whole));
 }
 
 TEST(PayloadRef, EmptyPayloadHasNoOwner) {
@@ -208,18 +212,17 @@ TEST(PayloadRef, EmptyPayloadHasNoOwner) {
 // Per-link frame batching
 // ---------------------------------------------------------------------------
 
-// The framing tests pin this explicit threshold (the static default the
-// derived-from-B policy replaced) so the frame/no-frame split is
-// independent of the engine's bandwidth setting.
-constexpr std::size_t kTestFrameBytes = 256;
-
 // Sender and receiver independently recompute each link's message plan
 // from pure hashes, so the receiver can verify counts, order, and bytes
-// with no shared state.  Sizes deliberately straddle kTestFrameBytes so
-// framed and unframed messages interleave on every link.
+// with no shared state.  Each planned message also picks its send
+// overload, so framed (Writer, vector) and shared (PayloadRef) messages
+// interleave on every link.
+enum class SendVia { kWriter, kVector, kRef };
+
 struct PlannedMessage {
   std::size_t size;
   std::uint64_t seed;
+  SendVia via;
 };
 
 std::vector<PlannedMessage> link_plan(std::uint64_t trial, int step,
@@ -232,6 +235,7 @@ std::vector<PlannedMessage> link_plan(std::uint64_t trial, int step,
   for (auto& m : out) {
     m.size = kSizes[plan.below(std::size(kSizes))];
     m.seed = plan.next();
+    m.via = static_cast<SendVia>(plan.below(3));
   }
   return out;
 }
@@ -243,30 +247,40 @@ std::vector<std::byte> pattern_bytes(std::uint64_t seed, std::size_t len) {
   return bytes;
 }
 
-// The frame batching property test: random message sizes/counts per
-// link, several supersteps, at one framing-threshold setting.  Delivery
-// must preserve ascending source and per-link send order with exact
-// bytes, and every superstep's rounds/bits/max_link_bits must equal the
-// *unbatched* formula (sum per message of kHeaderBits + 8 * payload),
-// i.e. batching is invisible to the cost model — whatever the threshold.
-void run_framing_property_trial(std::uint64_t trial,
-                                std::size_t frame_bytes) {
+// The frame batching property test: random message sizes/counts and
+// send overloads per link, several supersteps.  Delivery must preserve
+// ascending source and per-link send order with exact bytes, and every
+// superstep's rounds/bits/max_link_bits must equal the *unbatched*
+// formula (sum per message of kHeaderBits + 8 * payload), i.e. batching
+// is invisible to the cost model.
+void run_framing_property_trial(std::uint64_t trial) {
   constexpr std::size_t kMachines = 6;
   constexpr int kSupersteps = 4;
   constexpr std::uint64_t kBandwidth = 2048;
   {
     Engine engine(kMachines, {.bandwidth_bits = kBandwidth,
                               .seed = trial,
-                              .record_timeline = true,
-                              .framed_payload_max_bytes = frame_bytes});
+                              .record_timeline = true});
     const auto metrics = engine.run([&](MachineContext& ctx) {
       for (int step = 0; step < kSupersteps; ++step) {
         for (std::size_t dst = 0; dst < kMachines; ++dst) {
           if (dst == ctx.id()) continue;
           for (const auto& m : link_plan(trial, step, ctx.id(), dst)) {
-            Writer w;
-            w.put_bytes(pattern_bytes(m.seed, m.size));
-            ctx.send(dst, static_cast<std::uint16_t>(m.size % 7), w);
+            const auto tag = static_cast<std::uint16_t>(m.size % 7);
+            switch (m.via) {
+              case SendVia::kWriter: {
+                Writer w;
+                w.put_bytes(pattern_bytes(m.seed, m.size));
+                ctx.send(dst, tag, w);
+                break;
+              }
+              case SendVia::kVector:
+                ctx.send(dst, tag, pattern_bytes(m.seed, m.size));
+                break;
+              case SendVia::kRef:
+                ctx.send(dst, tag, PayloadRef(pattern_bytes(m.seed, m.size)));
+                break;
+            }
           }
         }
         const auto in = ctx.exchange();
@@ -323,143 +337,70 @@ void run_framing_property_trial(std::uint64_t trial,
 
 TEST(Framing, RandomSizesMatchUnbatchedAccountingAndOrder) {
   for (std::uint64_t trial = 1; trial <= 3; ++trial) {
-    run_framing_property_trial(trial, kTestFrameBytes);
+    run_framing_property_trial(trial);
   }
 }
 
-TEST(Framing, ThresholdSweepKeepsUnbatchedAccounting) {
-  // EngineConfig::framed_payload_max_bytes is a pure transport knob: the
-  // same property must hold with framing disabled (0), at a tiny
-  // threshold that leaves most messages unframed (64), at the classic
-  // static default (256), at one that frames every planned size (1024),
-  // at the value the auto policy derives for this bandwidth, and with
-  // the auto sentinel itself (resolved inside the engine).
-  for (const std::size_t frame_bytes :
-       {std::size_t{0}, std::size_t{64}, std::size_t{256}, std::size_t{1024},
-        framed_payload_default_bytes(2048), kFramedPayloadAuto}) {
-    run_framing_property_trial(/*trial=*/7, frame_bytes);
-  }
-}
-
-TEST(Framing, AutoThresholdDerivesFromBandwidth) {
-  // The derived default is one round's worth of bytes, clamped: B/8
-  // inside [kFramedPayloadMinDefaultBytes, kFramedPayloadMaxDefaultBytes].
-  EXPECT_EQ(framed_payload_default_bytes(2048), 256u);
-  EXPECT_EQ(framed_payload_default_bytes(1600), 200u);  // B = 16 * 10^2
-  EXPECT_EQ(framed_payload_default_bytes(0), kFramedPayloadMinDefaultBytes);
-  EXPECT_EQ(framed_payload_default_bytes(8), kFramedPayloadMinDefaultBytes);
-  EXPECT_EQ(framed_payload_default_bytes(1u << 20),
-            kFramedPayloadMaxDefaultBytes);
-  // An engine built with the auto sentinel (the EngineConfig default)
-  // exposes the resolved concrete threshold, never the sentinel.
-  Engine derived(2, {.bandwidth_bits = 1600, .seed = 1});
-  EXPECT_EQ(derived.config().framed_payload_max_bytes, 200u);
-  // An explicit setting — including 0 = off — is used verbatim.
-  Engine off(2, {.bandwidth_bits = 1600,
-                 .seed = 1,
-                 .framed_payload_max_bytes = 0});
-  EXPECT_EQ(off.config().framed_payload_max_bytes, 0u);
-  Engine pinned(2, {.bandwidth_bits = 1600,
-                    .seed = 1,
-                    .framed_payload_max_bytes = 31});
-  EXPECT_EQ(pinned.config().framed_payload_max_bytes, 31u);
-}
-
-TEST(Framing, ThresholdKnobControlsTransportSharing) {
-  // Observable transport effect of the knob: payloads of 300 bytes ride
-  // the shared per-link frame at threshold 1024, and nothing shares at
-  // threshold 0 — while metrics stay identical across all settings.
-  constexpr std::size_t kPayload = 300;  // past the 256-byte default
-  std::vector<Metrics> all;
-  for (const std::size_t frame_bytes :
-       {std::size_t{0}, std::size_t{256}, std::size_t{1024}}) {
-    Engine engine(2, {.bandwidth_bits = 1 << 16,
-                      .seed = 11,
-                      .record_timeline = true,
-                      .framed_payload_max_bytes = frame_bytes});
-    all.push_back(engine.run([&](MachineContext& ctx) {
-      for (int i = 0; i < 3; ++i) {
-        Writer w;
-        w.put_bytes(std::vector<std::byte>(kPayload, std::byte{0x7e}));
-        ctx.send(1 - ctx.id(), 1, w);
-      }
-      const auto in = ctx.exchange();
-      ASSERT_EQ(in.size(), 3u);
-      const bool expect_shared = frame_bytes >= kPayload;
-      EXPECT_EQ(in[1].payload.shares_buffer_with(in[2].payload),
-                expect_shared)
-          << "frame_bytes=" << frame_bytes;
-      // Threshold 0 must behave like the pre-knob unframed plane: every
-      // message owns its buffer.
-      if (frame_bytes == 0) {
-        EXPECT_FALSE(in[0].payload.shares_buffer_with(in[1].payload));
-      }
-      for (const Message& msg : in) {
-        ASSERT_EQ(msg.payload.size(), kPayload);
-        for (const std::byte b : msg.payload) {
-          ASSERT_EQ(b, std::byte{0x7e});
-        }
-      }
-    }));
-  }
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].rounds, all[0].rounds);
-    EXPECT_EQ(all[i].messages, all[0].messages);
-    EXPECT_EQ(all[i].bits, all[0].bits);
-    EXPECT_EQ(all[i].max_link_bits_superstep, all[0].max_link_bits_superstep);
-    EXPECT_EQ(all[i].timeline, all[0].timeline);
-  }
-}
-
-TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
-  // Transport-level zero-copy: from the second small message of a
-  // (src, dst, superstep) onward, payloads are slices of a single frame
-  // buffer.  The link's first message takes the classic zero-copy path
-  // (nothing to amortize the copy against), and a payload past the
-  // framing threshold always gets its own buffer.
-  Engine engine(2, {.bandwidth_bits = 1 << 16,
-                    .seed = 5,
-                    .framed_payload_max_bytes = kTestFrameBytes});
-  engine.run([&](MachineContext& ctx) {
+TEST(Framing, EveryOwnedPayloadRidesItsLinkFrame) {
+  // Transport-level zero-copy: every Writer/vector payload of a
+  // (src, dst, superstep) is a slice of one frame buffer — the link's
+  // first message, tiny varints, and a payload past 4096 bytes (the old
+  // framing clamp) alike — while another link gets a frame of its own.
+  constexpr std::size_t kBig = 5000;
+  const std::vector<std::byte> big(kBig, std::byte{0x42});
+  std::vector<PayloadRef> held(3);  // keep frames alive to compare
+  Engine engine(3, {.bandwidth_bits = 1 << 16, .seed = 5});
+  const auto metrics = engine.run([&](MachineContext& ctx) {
     if (ctx.id() == 0) {
       for (std::uint64_t i = 0; i < 3; ++i) {
         Writer w;
         w.put_varint(i);
         ctx.send(1, 1, w);
       }
-      Writer big;
-      big.put_bytes(std::vector<std::byte>(kTestFrameBytes + 1,
-                                           std::byte{0x42}));
-      ctx.send(1, 2, big);
+      ctx.send(1, 2, big);  // the vector overload
+      Writer other;
+      other.put_varint(9);
+      ctx.send(2, 1, other);
     }
     const auto in = ctx.exchange();
     if (ctx.id() == 1) {
       ASSERT_EQ(in.size(), 4u);
-      EXPECT_FALSE(in[0].payload.shares_buffer_with(in[1].payload))
-          << "a link's first message is not framed";
-      EXPECT_TRUE(in[1].payload.shares_buffer_with(in[2].payload))
-          << "second and later small messages share the link frame";
-      EXPECT_FALSE(in[3].payload.shares_buffer_with(in[1].payload))
-          << "oversized payloads must not ride the frame";
+      for (std::size_t i = 1; i < in.size(); ++i) {
+        EXPECT_TRUE(in[0].payload.shares_buffer_with(in[i].payload))
+            << "message " << i << " is not on the link frame";
+      }
       for (std::uint64_t i = 0; i < 3; ++i) {
         Reader r(in[i].payload);
         EXPECT_EQ(r.get_varint(), i);
+        EXPECT_EQ(r.remaining(), 0u);
       }
-      EXPECT_EQ(in[3].payload.size(), kTestFrameBytes + 1);
+      EXPECT_TRUE(std::equal(big.begin(), big.end(), in[3].payload.begin(),
+                             in[3].payload.end()));
+      held[1] = in[0].payload;
+    } else if (ctx.id() == 2) {
+      ASSERT_EQ(in.size(), 1u);
+      Reader r(in[0].payload);
+      EXPECT_EQ(r.get_varint(), 9u);
+      held[2] = in[0].payload;
     } else {
       EXPECT_TRUE(in.empty());
     }
   });
+  EXPECT_FALSE(held[1].shares_buffer_with(held[2]))
+      << "two links must not share a frame";
+  // Unbatched formula: one header per message plus its payload bytes
+  // (three 1-byte varints and kBig on link 0->1, one varint on 0->2).
+  EXPECT_EQ(metrics.bits,
+            5 * Message::kHeaderBits + 8 * (3 + kBig + 1));
+  EXPECT_EQ(metrics.messages, 5u);
 }
 
-TEST(Framing, EmptyAndThresholdBoundaryPayloads) {
-  // Sizes 0, 1, exactly-at-threshold, and one-past-threshold all round-
-  // trip, and total bits match the unbatched formula.
-  const std::vector<std::size_t> sizes = {0, 1, kTestFrameBytes,
-                                          kTestFrameBytes + 1};
-  Engine engine(2, {.bandwidth_bits = 1 << 16,
-                    .seed = 6,
-                    .framed_payload_max_bytes = kTestFrameBytes});
+TEST(Framing, EmptyAndBoundaryPayloads) {
+  // Sizes 0, 1, around the old 256-byte default threshold, and one past
+  // the old 4096-byte clamp all round-trip, and total bits match the
+  // unbatched formula.
+  const std::vector<std::size_t> sizes = {0, 1, 256, 257, 4097};
+  Engine engine(2, {.bandwidth_bits = 1 << 16, .seed = 6});
   const auto metrics = engine.run([&](MachineContext& ctx) {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       Writer w;

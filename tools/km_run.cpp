@@ -7,8 +7,8 @@
 //       Show every registered workload with its input kind.
 //
 //   km_run run --workload mst --dataset gnp:n=1000,p=0.01 --k 8
-//              [--B 0] [--seed 1] [--frame-bytes auto] [--timeline true]
-//              [--check true] [--json out.json] [--workers 0]
+//              [--B 0] [--seed 1] [--timeline true] [--check true]
+//              [--json out.json] [--workers 0]
 //              [--trace trace.json] [--trace-links]
 //       Run one scenario; print a summary line and optionally write the
 //       km.run_result/v1 JSON document (--json - writes it to stdout).
@@ -54,19 +54,13 @@ int usage(const char* error) {
                "usage:\n"
                "  km_run list\n"
                "  km_run run   --workload W --dataset SPEC [--k 8] [--B 0]\n"
-               "               [--seed 1] [--frame-bytes auto]\n"
-               "               [--timeline true] [--check true]\n"
+               "               [--seed 1] [--timeline true] [--check true]\n"
                "               [--json PATH|-] [--workers 0]\n"
                "               [--trace PATH] [--trace-links]\n"
                "  km_run sweep --workload W --dataset SPEC --k K1,K2,...\n"
                "               [--B B1,...] [--n N1,...] [--seed 1]\n"
-               "               [--frame-bytes auto] [--workers 0]\n"
-               "               [--out-dir sweep-results] [--timeline true]\n"
-               "               [--check true]\n\n"
-               "--frame-bytes sets the message-plane framing threshold\n"
-               "(transport batching only; 0 disables, default derives from\n"
-               "B as one round's bytes clamped to [64, 4096]; metrics\n"
-               "identical at every setting).\n"
+               "               [--workers 0] [--out-dir sweep-results]\n"
+               "               [--timeline true] [--check true]\n\n"
                "--workers bounds the executor's OS-thread pool (0 = hardware\n"
                "concurrency); k machines multiplex over it as fibers, so k\n"
                "can far exceed the core count. Metrics identical.\n"
@@ -132,8 +126,6 @@ RunParams params_from(const Options& opts, std::uint64_t k, std::uint64_t B) {
   params.k = static_cast<std::size_t>(k);
   params.bandwidth_bits = B;
   params.seed = opts.get_uint("seed", 1);
-  params.frame_bytes = static_cast<std::size_t>(
-      opts.get_uint("frame-bytes", kFramedPayloadAuto));
   params.record_timeline = opts.get_bool("timeline", true);
   params.check = opts.get_bool("check", true);
   params.workers = static_cast<std::size_t>(opts.get_uint("workers", 0));
@@ -153,9 +145,8 @@ std::string links_path_for(const std::string& trace_path) {
 }
 
 int cmd_run(const Options& opts) {
-  opts.reject_unknown({"workload", "dataset", "k", "B", "seed", "frame-bytes",
-                       "timeline", "check", "json", "trace", "trace-links",
-                       "workers"});
+  opts.reject_unknown({"workload", "dataset", "k", "B", "seed", "timeline",
+                       "check", "json", "trace", "trace-links", "workers"});
   const std::string workload_name = opts.get_string("workload", "");
   const std::string spec_text = opts.get_string("dataset", "");
   if (workload_name.empty()) return usage("run: --workload is required");
@@ -225,8 +216,7 @@ std::string slug(const std::string& text) {
 
 int cmd_sweep(const Options& opts) {
   opts.reject_unknown({"workload", "dataset", "k", "B", "n", "seed",
-                       "frame-bytes", "timeline", "check", "out-dir",
-                       "workers"});
+                       "timeline", "check", "out-dir", "workers"});
   const std::string workload_name = opts.get_string("workload", "");
   const std::string spec_text = opts.get_string("dataset", "");
   if (workload_name.empty()) return usage("sweep: --workload is required");
