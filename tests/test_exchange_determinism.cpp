@@ -341,13 +341,10 @@ TEST(Framing, RandomSizesMatchUnbatchedAccountingAndOrder) {
   }
 }
 
-TEST(Framing, EveryOwnedPayloadRidesItsLinkFrame) {
-  // Transport-level zero-copy: every Writer/vector payload of a
-  // (src, dst, superstep) is a slice of one frame buffer — the link's
-  // first message, tiny varints, and a payload past 4096 bytes (the old
-  // framing clamp) alike — while another link gets a frame of its own.
-  constexpr std::size_t kBig = 5000;
-  const std::vector<std::byte> big(kBig, std::byte{0x42});
+TEST(Framing, SmallPayloadsShareOneFrameBufferPerLink) {
+  // Transport-level zero-copy: every small Writer payload of a
+  // (src, dst, superstep) is a slice of one frame buffer, the link's
+  // first message included, while another link gets a frame of its own.
   std::vector<PayloadRef> held(3);  // keep frames alive to compare
   Engine engine(3, {.bandwidth_bits = 1 << 16, .seed = 5});
   const auto metrics = engine.run([&](MachineContext& ctx) {
@@ -357,14 +354,13 @@ TEST(Framing, EveryOwnedPayloadRidesItsLinkFrame) {
         w.put_varint(i);
         ctx.send(1, 1, w);
       }
-      ctx.send(1, 2, big);  // the vector overload
       Writer other;
       other.put_varint(9);
       ctx.send(2, 1, other);
     }
     const auto in = ctx.exchange();
     if (ctx.id() == 1) {
-      ASSERT_EQ(in.size(), 4u);
+      ASSERT_EQ(in.size(), 3u);
       for (std::size_t i = 1; i < in.size(); ++i) {
         EXPECT_TRUE(in[0].payload.shares_buffer_with(in[i].payload))
             << "message " << i << " is not on the link frame";
@@ -374,8 +370,6 @@ TEST(Framing, EveryOwnedPayloadRidesItsLinkFrame) {
         EXPECT_EQ(r.get_varint(), i);
         EXPECT_EQ(r.remaining(), 0u);
       }
-      EXPECT_TRUE(std::equal(big.begin(), big.end(), in[3].payload.begin(),
-                             in[3].payload.end()));
       held[1] = in[0].payload;
     } else if (ctx.id() == 2) {
       ASSERT_EQ(in.size(), 1u);
@@ -388,11 +382,50 @@ TEST(Framing, EveryOwnedPayloadRidesItsLinkFrame) {
   });
   EXPECT_FALSE(held[1].shares_buffer_with(held[2]))
       << "two links must not share a frame";
-  // Unbatched formula: one header per message plus its payload bytes
-  // (three 1-byte varints and kBig on link 0->1, one varint on 0->2).
+  // Unbatched formula: one header per message plus its 1-byte varint.
+  EXPECT_EQ(metrics.bits, 4 * Message::kHeaderBits + 8 * 4);
+  EXPECT_EQ(metrics.messages, 4u);
+}
+
+TEST(Framing, EveryOwnedPayloadRidesItsLinkFrame) {
+  // No size limit on the frame: on each link the first message, a tiny
+  // varint, a payload past the old 256-byte default threshold and one
+  // past the old 4096-byte clamp (through the vector overload) all share
+  // one buffer and round-trip exactly.
+  constexpr std::size_t kMid = 300;
+  constexpr std::size_t kBig = 5000;
+  const std::vector<std::byte> big(kBig, std::byte{0x42});
+  Engine engine(2, {.bandwidth_bits = 1 << 16, .seed = 11});
+  const auto metrics = engine.run([&](MachineContext& ctx) {
+    const std::size_t peer = 1 - ctx.id();
+    Writer mid;
+    mid.put_bytes(std::vector<std::byte>(kMid, std::byte{0x7e}));
+    ctx.send(peer, 1, mid);
+    Writer tiny;
+    tiny.put_varint(ctx.id());
+    ctx.send(peer, 2, tiny);
+    ctx.send(peer, 3, big);  // the vector overload
+    const auto in = ctx.exchange();
+    ASSERT_EQ(in.size(), 3u);
+    for (std::size_t i = 1; i < in.size(); ++i) {
+      EXPECT_TRUE(in[0].payload.shares_buffer_with(in[i].payload))
+          << "message " << i << " is not on the link frame";
+    }
+    ASSERT_EQ(in[0].payload.size(), kMid);
+    for (const std::byte b : in[0].payload) {
+      ASSERT_EQ(b, std::byte{0x7e});
+    }
+    Reader r(in[1].payload);
+    EXPECT_EQ(r.get_varint(), peer);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_TRUE(std::equal(big.begin(), big.end(), in[2].payload.begin(),
+                           in[2].payload.end()));
+  });
+  // Unbatched formula: one header per message plus its payload bytes,
+  // three messages on each of the two links.
   EXPECT_EQ(metrics.bits,
-            5 * Message::kHeaderBits + 8 * (3 + kBig + 1));
-  EXPECT_EQ(metrics.messages, 5u);
+            2 * (3 * Message::kHeaderBits + 8 * (kMid + 1 + kBig)));
+  EXPECT_EQ(metrics.messages, 6u);
 }
 
 TEST(Framing, EmptyAndBoundaryPayloads) {
