@@ -51,6 +51,21 @@ double require_double(const DatasetSpec& spec, std::string_view key) {
   return spec.get_double(key, 0.0);
 }
 
+/// `value` of probability parameter `key`, which must lie in [0, 1]: the
+/// generators would clamp anything else silently, and two spellings of
+/// one graph would then occupy separate dataset-cache and result-store
+/// cells.
+double probability(const DatasetSpec& spec, std::string_view key,
+                   double value) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw DatasetError("dataset parameter " + std::string(key) +
+                       " must be in [0, 1], got '" +
+                       spec.get_string(key, "") + "' (spec: " + spec.str() +
+                       ")");
+  }
+  return value;
+}
+
 /// Every graph family accepts maxw= for the weighted conversion.
 void check_known_keys(const DatasetSpec& spec,
                       std::initializer_list<std::string_view> known) {
@@ -208,7 +223,8 @@ Dataset load_dataset(const DatasetSpec& spec, DatasetKind required,
   Graph g;
   if (spec.family == "gnp") {
     check_known_keys(spec, {"n", "p"});
-    g = gnp(require_uint(spec, "n"), require_double(spec, "p"), rng);
+    g = gnp(require_uint(spec, "n"),
+            probability(spec, "p", require_double(spec, "p")), rng);
   } else if (spec.family == "rmat") {
     check_known_keys(spec, {"n", "m", "a", "b", "c"});
     const std::uint64_t n = require_uint(spec, "n");
@@ -221,7 +237,8 @@ Dataset load_dataset(const DatasetSpec& spec, DatasetKind required,
   } else if (spec.family == "ws") {
     check_known_keys(spec, {"n", "degree", "beta"});
     g = watts_strogatz(require_uint(spec, "n"), spec.get_uint("degree", 8),
-                       spec.get_double("beta", 0.2), rng);
+                       probability(spec, "beta", spec.get_double("beta", 0.2)),
+                       rng);
   } else if (spec.family == "star") {
     check_known_keys(spec, {"n"});
     g = star_graph(require_uint(spec, "n"));
@@ -240,7 +257,8 @@ Dataset load_dataset(const DatasetSpec& spec, DatasetKind required,
   } else if (spec.family == "bipartite") {
     check_known_keys(spec, {"a", "b", "p"});
     g = random_bipartite(require_uint(spec, "a"), require_uint(spec, "b"),
-                         require_double(spec, "p"), rng);
+                         probability(spec, "p", require_double(spec, "p")),
+                         rng);
   } else if (spec.family == "file") {
     const std::string path = spec.get_string("path", "");
     if (path.empty()) throw DatasetError("file: spec is missing the path");

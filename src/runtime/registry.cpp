@@ -97,7 +97,6 @@ RunResult run_workload(const Workload& workload, const Dataset& dataset,
   Engine engine(resolved.k,
                 {.bandwidth_bits = resolved.bandwidth_bits,
                  .seed = resolved.seed,
-                 .record_timeline = resolved.record_timeline,
                  .trace = resolved.trace,
                  .trace_links = resolved.trace_links,
                  .workers = resolved.workers});

@@ -31,7 +31,6 @@ std::string run_result_to_json(const RunResult& result, int indent) {
   w.field("k", std::uint64_t{result.params.k});
   w.field("bandwidth_bits", result.params.bandwidth_bits);
   w.field("seed", result.params.seed);
-  w.field("timeline", result.params.record_timeline);
   w.end_object();
 
   w.key("check").begin_object();

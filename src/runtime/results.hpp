@@ -11,8 +11,7 @@
 //     "workload": "mst",
 //     "dataset": {"spec": "gnp:n=1000,p=0.01", "kind": "weighted_graph",
 //                 "n": 1000, "m": 5034},
-//     "params": {"k": 8, "bandwidth_bits": 1600, "seed": 42,
-//                "timeline": true},
+//     "params": {"k": 8, "bandwidth_bits": 1600, "seed": 42},
 //     "check": {"performed": true, "ok": true, "detail": "..."},
 //     "outputs": {"total_weight": 123456, ...},
 //     "metrics": {"rounds": ..., "supersteps": ..., "messages": ...,

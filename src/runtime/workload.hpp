@@ -33,7 +33,6 @@ struct RunParams {
   /// B = Theta(log^2 n), resolved against the dataset's n at run time.
   std::uint64_t bandwidth_bits = 0;
   std::uint64_t seed = 1;  ///< drives dataset, partition, and engine RNGs
-  bool record_timeline = true;  ///< per-superstep breakdown in the result
   bool check = true;  ///< verify against the sequential reference
   /// Wall-time tracing (EngineConfig::trace): phase spans + counter
   /// events, surfaced as RunResult::trace and the result's `timing`

@@ -66,8 +66,6 @@ bool parse_request(std::string_view line, Request& out, std::string& error) {
       out.params.workers = static_cast<std::size_t>(uint_value);
     } else if (key == "check" && value.is(JsonValue::Kind::kBool)) {
       out.params.check = value.boolean;
-    } else if (key == "timeline" && value.is(JsonValue::Kind::kBool)) {
-      out.params.record_timeline = value.boolean;
     } else if (key == "fresh" && value.is(JsonValue::Kind::kBool)) {
       out.fresh = value.boolean;
     } else {

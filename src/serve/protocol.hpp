@@ -4,7 +4,7 @@
 // Requests are one JSON object per line:
 //   {"op": "run", "workload": "mst", "dataset": "gnp:n=64,p=0.08",
 //    "k": 4, "bandwidth": 0, "seed": 7, "workers": 0, "check": true,
-//    "timeline": true, "fresh": false}
+//    "fresh": false}
 //   {"op": "stats"} | {"op": "ping"} | {"op": "shutdown"}
 //
 // Every response is exactly two lines:
@@ -35,8 +35,8 @@ struct Request {
   Op op = Op::kRun;
   std::string workload;
   std::string dataset;
-  RunParams params;     ///< k, bandwidth_bits, seed, workers, check,
-                        ///< record_timeline (trace is not servable)
+  RunParams params;     ///< k, bandwidth_bits, seed, workers, check
+                        ///< (trace is not servable)
   bool fresh = false;   ///< bypass the result store for this request
 };
 

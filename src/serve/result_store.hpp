@@ -11,8 +11,8 @@
 // Keys combine the workload name, the dataset cell's canonical identity
 // (DatasetCache::canonical_key — spelling variants of one spec collide),
 // and every RunParams field that is part of the deterministic parameter
-// cell: k, bandwidth_bits, seed, check, timeline.  workers and trace
-// are deliberately excluded — the Determinism suite proves documents are
+// cell: k, bandwidth_bits, seed, check.  workers and trace are
+// deliberately excluded — the Determinism suite proves documents are
 // byte-identical across them (results.hpp keeps them out of the
 // serialized params for the same reason).  An unresolved
 // bandwidth (B=0) keys differently from its resolved value; both map to

@@ -97,15 +97,12 @@ struct EngineConfig {
   std::uint64_t bandwidth_bits = 256;  ///< B, per link per round
   std::uint64_t seed = 0x5eedULL;      ///< base seed for machine RNGs
   std::uint64_t max_supersteps = 1'000'000;  ///< runaway-loop backstop
-  /// Record a per-superstep SuperstepStats timeline in Metrics::timeline.
-  bool record_timeline = false;
   /// Record wall-time phase spans (compute/send/barrier_wait/deliver per
   /// machine per superstep) and per-superstep counter events into a
   /// TraceSession (sim/trace.hpp), surfaced via Engine::trace_session()
-  /// and Metrics::timing.  Same opt-in pattern as record_timeline: off
-  /// means one predictable null-pointer branch per seam (exactly zero
-  /// when compiled with -DKM_DISABLE_TRACING).  Tracing never perturbs
-  /// rounds/bits/delivery (tests/test_trace.cpp proves byte-identity).
+  /// and Metrics::timing.  Off means one predictable null-pointer branch
+  /// per seam.  Tracing never perturbs rounds/bits/delivery
+  /// (tests/test_trace.cpp proves byte-identity).
   bool trace = false;
   /// With `trace`: also record the opt-in per-superstep k x k link-bits
   /// matrix (O(k^2) memory per traffic-carrying superstep).
@@ -122,11 +119,6 @@ struct EngineConfig {
   /// setting (like `trace`, it is deliberately absent from serialized
   /// run parameters).
   std::size_t workers = 0;
-  /// Stack reservation per machine fiber (rounded up to whole pages, one
-  /// guard page added); 0 means kDefaultFiberStackBytes.  Address space,
-  /// not memory: pages are committed lazily, so huge k stays cheap until
-  /// a program actually recurses deeply.
-  std::size_t fiber_stack_bytes = 0;
 
   /// Bandwidth used throughout the paper: B = Theta(polylog n).
   /// We use B = 16 * ceil(log2 n)^2 bits (a handful of O(log n)-bit
@@ -241,7 +233,7 @@ class Engine {
   Metrics run(const Program& program);
 
   /// The last run's trace (EngineConfig::trace), or null when the run was
-  /// untraced or tracing was compiled out.  Valid after run() returns;
+  /// untraced.  Valid after run() returns;
   /// shared so results can outlive the engine (RunResult::trace).
   std::shared_ptr<const TraceSession> trace_session() const noexcept {
     return trace_;

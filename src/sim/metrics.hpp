@@ -17,9 +17,10 @@
 
 namespace km {
 
-/// Cost of one superstep, recorded when EngineConfig::record_timeline is
-/// set.  The sum of each field over the timeline equals the corresponding
-/// Metrics total (tests/test_metrics.cpp asserts this invariant).
+/// Cost of one superstep, recorded by the root finalizer for every
+/// counted superstep.  The sum of each field over the timeline equals the
+/// corresponding Metrics total (tests/test_metrics.cpp asserts this
+/// invariant).
 struct SuperstepStats {
   std::uint64_t superstep = 0;  ///< 0-based index
   std::uint64_t rounds = 0;
@@ -68,9 +69,8 @@ struct Metrics {
   std::vector<std::uint64_t> recv_bits_per_machine;
   double wall_ms = 0.0;
 
-  /// Per-superstep cost breakdown; empty unless the engine ran with
-  /// EngineConfig::record_timeline (opt-in: size is k-independent but
-  /// grows with supersteps, and most callers only want totals).
+  /// Per-superstep cost breakdown, one entry per counted superstep (size
+  /// is k-independent and grows with supersteps).
   std::vector<SuperstepStats> timeline;
 
   /// Buffer-pool activity during this run: hits/misses/evictions are the

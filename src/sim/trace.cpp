@@ -115,20 +115,12 @@ void TraceSession::record_link_row(std::size_t src,
   for (std::size_t dst = 0; dst < k_; ++dst) row[dst] = row_bits[dst];
 }
 
-void TraceSession::finalize_superstep(std::uint64_t superstep,
-                                      std::uint64_t rounds,
-                                      std::uint64_t messages,
-                                      std::uint64_t bits,
-                                      std::uint64_t max_link_bits) {
+void TraceSession::finalize_superstep(const SuperstepStats& cost) {
   fold_gate.assert_held();
   const BufferPoolCounters pool = buffer_pool_counters();
   const PayloadPoolCounters payload = payload_pool_counters();
-  counters_.push_back({.superstep = superstep,
+  counters_.push_back({.cost = cost,
                        .at_ns = now_ns(),
-                       .rounds = rounds,
-                       .messages = messages,
-                       .bits = bits,
-                       .max_link_bits = max_link_bits,
                        .pool_hits = pool.hits - pool_prev_.hits,
                        .pool_misses = pool.misses - pool_prev_.misses,
                        .payload_pool_hits = payload.hits - payload_prev_.hits,
@@ -136,8 +128,8 @@ void TraceSession::finalize_superstep(std::uint64_t superstep,
                            payload.misses - payload_prev_.misses});
   pool_prev_ = pool;
   payload_prev_ = payload;
-  if (links_ && messages > 0) {
-    matrices_.push_back({superstep, current_links_});
+  if (links_ && cost.messages > 0) {
+    matrices_.push_back({cost.superstep, current_links_});
     std::fill(current_links_.begin(), current_links_.end(), 0);
   }
 }
@@ -280,11 +272,11 @@ std::string TraceSession::chrome_trace_json(std::string_view label) const {
       w.end_object();
       w.end_object();
     };
-    counter("rounds", [&] { w.field("rounds", c.rounds); });
-    counter("bits", [&] { w.field("bits", c.bits); });
+    counter("rounds", [&] { w.field("rounds", c.cost.rounds); });
+    counter("bits", [&] { w.field("bits", c.cost.bits); });
     counter("max_link_bits",
-            [&] { w.field("max_link_bits", c.max_link_bits); });
-    counter("messages", [&] { w.field("messages", c.messages); });
+            [&] { w.field("max_link_bits", c.cost.max_link_bits); });
+    counter("messages", [&] { w.field("messages", c.cost.messages); });
     counter("pool", [&] {
       w.field("hits", c.pool_hits);
       w.field("misses", c.pool_misses);

@@ -15,9 +15,10 @@
 //    compute), `barrier_wait` (arrival to release at the combining-tree
 //    barrier — the straggler signature), and `deliver` (the lock-free
 //    inbound drain).
-//  - The root finalizer emits one TraceCounterSample per superstep
-//    (rounds, messages, bits, max_link_bits, buffer/payload-pool deltas),
-//    recorded under the barrier's fold-phase exclusivity.
+//  - The root finalizer emits one TraceCounterSample per superstep (the
+//    same SuperstepStats record it appends to Metrics::timeline, plus
+//    buffer/payload-pool deltas), recorded under the barrier's fold-phase
+//    exclusivity.
 //  - Opt-in (`record_links`): the leaf folders snapshot each machine's
 //    per-destination bit row before zeroing it, folding a full k x k
 //    link-bits matrix per superstep — the data behind load-imbalance
@@ -48,17 +49,6 @@
 #include "sim/metrics.hpp"
 #include "util/annotations.hpp"
 
-// Compile-time kill switch: building with -DKM_DISABLE_TRACING removes
-// every tracing hook from the engine (EngineConfig::trace then has no
-// effect and Engine::trace_session() stays null).  The default build
-// keeps the hooks; with tracing not requested at runtime they cost one
-// predictable null-pointer branch per seam.
-#if defined(KM_DISABLE_TRACING)
-#define KM_TRACING_ENABLED 0
-#else
-#define KM_TRACING_ENABLED 1
-#endif
-
 namespace km {
 
 /// The four wall-time phases of a (machine, superstep).
@@ -83,16 +73,13 @@ struct TraceSpan {
 };
 
 /// Per-superstep counter sample, recorded once by the root finalizer.
-/// Pool fields are the process-wide counter delta since the previous
-/// superstep (with one engine running — the normal case — that is exactly
-/// this run's machine threads).
+/// `cost` is the superstep's Metrics::timeline entry.  Pool fields are
+/// the process-wide counter delta since the previous superstep (with one
+/// engine running — the normal case — that is exactly this run's machine
+/// threads).
 struct TraceCounterSample {
-  std::uint64_t superstep = 0;
+  SuperstepStats cost;
   std::uint64_t at_ns = 0;  ///< finalize time, relative to the epoch
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-  std::uint64_t max_link_bits = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   std::uint64_t payload_pool_hits = 0;
@@ -190,9 +177,7 @@ class TraceSession {
   /// Root-finalizer hook, once per counted superstep: records the counter
   /// sample and, when links are enabled and the superstep carried
   /// traffic, commits the current link matrix.
-  void finalize_superstep(std::uint64_t superstep, std::uint64_t rounds,
-                          std::uint64_t messages, std::uint64_t bits,
-                          std::uint64_t max_link_bits) KM_REQUIRES(fold_gate);
+  void finalize_superstep(const SuperstepStats& cost) KM_REQUIRES(fold_gate);
 
   const std::vector<TraceCounterSample>& counters() const noexcept
       KM_REQUIRES(fold_gate) {

@@ -54,7 +54,6 @@ std::string render(const Workload& workload, const std::string& spec,
   params.k = k;
   params.bandwidth_bits = 0;
   params.seed = 7;
-  params.record_timeline = true;
   params.check = true;
   params.workers = workers;
   const Dataset dataset =

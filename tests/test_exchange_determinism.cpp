@@ -258,9 +258,7 @@ void run_framing_property_trial(std::uint64_t trial) {
   constexpr int kSupersteps = 4;
   constexpr std::uint64_t kBandwidth = 2048;
   {
-    Engine engine(kMachines, {.bandwidth_bits = kBandwidth,
-                              .seed = trial,
-                              .record_timeline = true});
+    Engine engine(kMachines, {.bandwidth_bits = kBandwidth, .seed = trial});
     const auto metrics = engine.run([&](MachineContext& ctx) {
       for (int step = 0; step < kSupersteps; ++step) {
         for (std::size_t dst = 0; dst < kMachines; ++dst) {

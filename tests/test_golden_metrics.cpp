@@ -58,7 +58,6 @@ std::string render_current(const Workload& workload,
   params.k = 4;
   params.bandwidth_bits = 0;  // default B = Theta(log^2 n), deterministic
   params.seed = 7;
-  params.record_timeline = true;
   params.check = true;
   const Dataset dataset =
       load_dataset(spec, workload.input_kind(), params.seed);

@@ -1,6 +1,6 @@
 // Tests for the per-superstep metrics timeline (sim/metrics.hpp): on a
 // known program, the engine totals must equal the sum over the timeline,
-// and the timeline must be off by default.
+// which every run records.
 #include "sim/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -27,15 +27,8 @@ void known_program(MachineContext& ctx) {
   (void)ctx.exchange();
 }
 
-TEST(MetricsTimeline, OffByDefault) {
-  Engine engine(4, {.bandwidth_bits = 64, .seed = 7});
-  const Metrics m = engine.run(known_program);
-  EXPECT_TRUE(m.timeline.empty());
-  EXPECT_EQ(m.supersteps, 3u);
-}
-
 TEST(MetricsTimeline, TotalsEqualTimelineSums) {
-  Engine engine(4, {.bandwidth_bits = 64, .seed = 7, .record_timeline = true});
+  Engine engine(4, {.bandwidth_bits = 64, .seed = 7});
   const Metrics m = engine.run(known_program);
 
   ASSERT_EQ(m.timeline.size(), m.supersteps);
@@ -58,7 +51,7 @@ TEST(MetricsTimeline, TotalsEqualTimelineSums) {
 
 TEST(MetricsTimeline, KnownProgramPerSuperstepCounts) {
   const std::size_t k = 4;
-  Engine engine(k, {.bandwidth_bits = 64, .seed = 7, .record_timeline = true});
+  Engine engine(k, {.bandwidth_bits = 64, .seed = 7});
   const Metrics m = engine.run(known_program);
 
   ASSERT_EQ(m.timeline.size(), 3u);
@@ -75,8 +68,7 @@ TEST(MetricsTimeline, KnownProgramPerSuperstepCounts) {
 
 TEST(MetricsTimeline, DeterministicAcrossRuns) {
   auto run = [] {
-    Engine engine(5,
-                  {.bandwidth_bits = 32, .seed = 3, .record_timeline = true});
+    Engine engine(5, {.bandwidth_bits = 32, .seed = 3});
     return engine.run(known_program);
   };
   const Metrics a = run();
@@ -89,7 +81,7 @@ TEST(MetricsTimeline, DeterministicAcrossRuns) {
 TEST(MetricsTimeline, EmptySuperstepsGetZeroEntries) {
   // A program whose second superstep carries no traffic still counts as a
   // superstep (the barrier happened); its timeline entry is all-zero.
-  Engine engine(3, {.bandwidth_bits = 64, .seed = 1, .record_timeline = true});
+  Engine engine(3, {.bandwidth_bits = 64, .seed = 1});
   const Metrics m = engine.run([](MachineContext& ctx) {
     ctx.send((ctx.id() + 1) % ctx.k(), 0,
              std::vector<std::byte>(4, std::byte{1}));

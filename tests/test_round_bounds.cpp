@@ -55,7 +55,6 @@ std::uint64_t measured_rounds(const std::string& workload_name,
   params.k = k;
   params.bandwidth_bits = kBandwidth;
   params.seed = kSeed;
-  params.record_timeline = false;
   params.check = false;  // correctness grids live in test_sketch.cpp
   const Dataset dataset = load_dataset(spec, workload->input_kind(), kSeed);
   const RunResult result = run_workload(*workload, dataset, params);

@@ -100,6 +100,40 @@ TEST(Dataset, SemanticErrors) {
                DatasetError);
 }
 
+TEST(Dataset, ProbabilitiesOutsideTheUnitIntervalAreRejected) {
+  for (const char* spec :
+       {"gnp:n=10,p=2", "gnp:n=10,p=-1", "gnp:n=10,p=1.0001",
+        "gnp:n=10,p=-0.0001", "bipartite:a=3,b=3,p=7",
+        "bipartite:a=3,b=3,p=-0.5", "ws:n=10,degree=4,beta=5",
+        "ws:n=10,degree=4,beta=-1"}) {
+    try {
+      load_dataset(spec, DatasetKind::kUndirected, 1);
+      ADD_FAILURE() << "expected DatasetError for " << spec;
+    } catch (const DatasetError& e) {
+      EXPECT_NE(std::string(e.what()).find("must be in [0, 1]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Dataset, ProbabilityEdgesZeroAndOneAreAccepted) {
+  EXPECT_EQ(load_dataset("gnp:n=10,p=0", DatasetKind::kUndirected, 1).m, 0u);
+  EXPECT_EQ(load_dataset("gnp:n=10,p=1", DatasetKind::kUndirected, 1).m, 45u);
+  EXPECT_EQ(
+      load_dataset("bipartite:a=3,b=4,p=0", DatasetKind::kUndirected, 1).m,
+      0u);
+  EXPECT_EQ(
+      load_dataset("bipartite:a=3,b=4,p=1", DatasetKind::kUndirected, 1).m,
+      12u);
+  for (const char* spec :
+       {"ws:n=10,degree=4,beta=0", "ws:n=10,degree=4,beta=1"}) {
+    const Dataset d = load_dataset(spec, DatasetKind::kUndirected, 1);
+    EXPECT_EQ(d.n, 10u) << spec;
+    EXPECT_GT(d.m, 0u) << spec;
+  }
+}
+
 TEST(Dataset, FileLoaderErrorsKeepPositionContext) {
   const std::string path = testing::TempDir() + "km_bad_edges.txt";
   {
@@ -234,14 +268,6 @@ TEST(RunWorkload, CheckCanBeDisabled) {
   const RunResult r = run_by_name("triangles", "gnp:n=80,p=0.1",
                                   {.k = 4, .seed = 1, .check = false});
   EXPECT_FALSE(r.check.performed);
-}
-
-TEST(RunWorkload, TimelineCanBeDisabled) {
-  const RunResult r =
-      run_by_name("triangles", "gnp:n=80,p=0.1",
-                  {.k = 4, .seed = 1, .record_timeline = false});
-  EXPECT_TRUE(r.metrics.timeline.empty());
-  EXPECT_GT(r.metrics.supersteps, 0u);
 }
 
 // ---- Results JSON ----

@@ -158,7 +158,7 @@ TEST(ServeProtocol, ParsesFullRunRequest) {
   ASSERT_TRUE(serve::parse_request(
       R"({"op":"run","workload":"mst","dataset":"gnp:n=64,p=0.1","k":4,)"
       R"("bandwidth":2048,"seed":9,"workers":2,"check":false,)"
-      R"("timeline":false,"fresh":true})",
+      R"("fresh":true})",
       req, error))
       << error;
   EXPECT_EQ(req.op, Request::Op::kRun);
@@ -169,7 +169,6 @@ TEST(ServeProtocol, ParsesFullRunRequest) {
   EXPECT_EQ(req.params.seed, 9u);
   EXPECT_EQ(req.params.workers, 2u);
   EXPECT_FALSE(req.params.check);
-  EXPECT_FALSE(req.params.record_timeline);
   EXPECT_TRUE(req.fresh);
 }
 
@@ -185,11 +184,16 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_FALSE(serve::parse_request(
       R"({"op":"run","workload":"mst","dataset":"d","zzz":1})", req, error));
   EXPECT_NE(error.find("zzz"), std::string::npos);
-  // "frame" (a retired field) is rejected like any unknown one.
+  // Retired fields ("frame", "timeline") are rejected like any unknown
+  // one.
   EXPECT_FALSE(serve::parse_request(
       R"({"op":"run","workload":"mst","dataset":"d","frame":128})", req,
       error));
   EXPECT_EQ(error, "unknown or mistyped field 'frame'");
+  EXPECT_FALSE(serve::parse_request(
+      R"({"op":"run","workload":"mst","dataset":"d","timeline":false})", req,
+      error));
+  EXPECT_EQ(error, "unknown or mistyped field 'timeline'");
 }
 
 TEST(ServeProtocol, MetaLineShape) {
@@ -284,6 +288,20 @@ TEST(ScenarioService, ErrorsAreResponsesNotExceptions) {
       service.handle(run_request("components", "path:n=8", /*k=*/1));
   EXPECT_FALSE(small_k.ok);
   EXPECT_EQ(service.counters().errors, 3u);
+}
+
+TEST(ScenarioService, OutOfRangeProbabilityIsAnErrorResponse) {
+  ScenarioService service(ServiceConfig{});
+  Request req;
+  std::string error;
+  ASSERT_TRUE(serve::parse_request(
+      R"({"op":"run","workload":"components","dataset":"gnp:n=10,p=2"})",
+      req, error))
+      << error;
+  const Response r = service.handle(req);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("must be in [0, 1]"), std::string::npos) << r.error;
+  EXPECT_EQ(service.counters().runs, 0u);
 }
 
 TEST(ScenarioService, StatsDocIsParsableAndCountsTraffic) {

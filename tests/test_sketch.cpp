@@ -364,7 +364,6 @@ RunResult run_registered(const std::string& workload_name,
   RunParams params;
   params.k = k;
   params.seed = seed;
-  params.record_timeline = false;
   const Dataset dataset = load_dataset(spec, workload->input_kind(), seed);
   return run_workload(*workload, dataset, params);
 }

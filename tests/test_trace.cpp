@@ -43,19 +43,12 @@ Metrics run_known(std::size_t k, bool trace, bool links,
                   std::shared_ptr<const TraceSession>* session = nullptr) {
   Engine engine(k, {.bandwidth_bits = 64,
                     .seed = 7,
-                    .record_timeline = true,
                     .trace = trace,
                     .trace_links = links});
   Metrics m = engine.run(known_program);
   if (session != nullptr) *session = engine.trace_session();
   return m;
 }
-
-#if KM_TRACING_ENABLED
-constexpr bool kTracingBuilt = true;
-#else
-constexpr bool kTracingBuilt = false;
-#endif
 
 TEST(TraceSpans, OffByDefaultAndOffWhenNotRequested) {
   std::shared_ptr<const TraceSession> session;
@@ -66,7 +59,6 @@ TEST(TraceSpans, OffByDefaultAndOffWhenNotRequested) {
 }
 
 TEST(TraceSpans, KnownProgramSpanShape) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/false, &session);
@@ -105,7 +97,6 @@ TEST(TraceSpans, KnownProgramSpanShape) {
 }
 
 TEST(TraceSpans, TimingSummaryCoversEveryMachine) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 5;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/false);
   ASSERT_TRUE(m.timing.enabled);
@@ -133,7 +124,6 @@ TEST(TraceSpans, TimingSummaryCoversEveryMachine) {
 }
 
 TEST(TraceSpans, CounterSamplesMatchTimeline) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(4, /*trace=*/true, /*links=*/false, &session);
   ASSERT_NE(session, nullptr);
@@ -142,12 +132,9 @@ TEST(TraceSpans, CounterSamplesMatchTimeline) {
   session->fold_gate.assert_held();
   const std::vector<TraceCounterSample>& samples = session->counters();
   ASSERT_EQ(samples.size(), m.timeline.size());
+  // Each sample embeds the very record the timeline holds.
   for (std::size_t s = 0; s < samples.size(); ++s) {
-    EXPECT_EQ(samples[s].superstep, m.timeline[s].superstep);
-    EXPECT_EQ(samples[s].rounds, m.timeline[s].rounds);
-    EXPECT_EQ(samples[s].messages, m.timeline[s].messages);
-    EXPECT_EQ(samples[s].bits, m.timeline[s].bits);
-    EXPECT_EQ(samples[s].max_link_bits, m.timeline[s].max_link_bits);
+    EXPECT_EQ(samples[s].cost, m.timeline[s]) << "superstep " << s;
     if (s > 0) {
       EXPECT_GE(samples[s].at_ns, samples[s - 1].at_ns);
     }
@@ -155,7 +142,6 @@ TEST(TraceSpans, CounterSamplesMatchTimeline) {
 }
 
 TEST(TraceLinks, MatricesCrossCheckTheAccounting) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/true, &session);
@@ -205,7 +191,6 @@ TEST(TraceLinks, MatricesCrossCheckTheAccounting) {
 }
 
 TEST(TraceExport, ChromeTraceValidatesInProcess) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   const Metrics m = run_known(k, /*trace=*/true, /*links=*/false, &session);
@@ -225,7 +210,6 @@ TEST(TraceExport, ChromeTraceValidatesInProcess) {
 }
 
 TEST(TraceExport, LinkTraceValidatesInProcess) {
-  if (!kTracingBuilt) GTEST_SKIP() << "built with KM_DISABLE_TRACING";
   const std::size_t k = 4;
   std::shared_ptr<const TraceSession> session;
   run_known(k, /*trace=*/true, /*links=*/true, &session);
@@ -310,7 +294,6 @@ RunResult run_once(const Workload& workload, const Dataset& dataset,
   params.k = 4;
   params.bandwidth_bits = 0;  // paper default B = Theta(log^2 n)
   params.seed = 7;
-  params.record_timeline = true;
   params.check = true;
   params.trace = trace;
   params.trace_links = trace;
@@ -334,10 +317,8 @@ TEST(TraceProperty, TracingNeverPerturbsAnyWorkload) {
     const RunResult on = run_once(*workload, dataset, /*trace=*/true);
 
     EXPECT_EQ(off.trace, nullptr) << name;
-    if (kTracingBuilt) {
-      ASSERT_NE(on.trace, nullptr) << name;
-      EXPECT_TRUE(on.metrics.timing.enabled) << name;
-    }
+    ASSERT_NE(on.trace, nullptr) << name;
+    EXPECT_TRUE(on.metrics.timing.enabled) << name;
 
     // The deterministic run identity, field by field...
     EXPECT_EQ(on.metrics.rounds, off.metrics.rounds) << name;

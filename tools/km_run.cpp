@@ -7,7 +7,7 @@
 //       Show every registered workload with its input kind.
 //
 //   km_run run --workload mst --dataset gnp:n=1000,p=0.01 --k 8
-//              [--B 0] [--seed 1] [--timeline true] [--check true]
+//              [--B 0] [--seed 1] [--check true]
 //              [--json out.json] [--workers 0]
 //              [--trace trace.json] [--trace-links]
 //       Run one scenario; print a summary line and optionally write the
@@ -21,7 +21,7 @@
 //
 //   km_run sweep --workload mst --dataset gnp:n=1000,p=0.01
 //                --k 4,8,16 [--B ...] [--n ...] [--seed 1]
-//                [--out-dir sweep-results] [--timeline true] [--check true]
+//                [--out-dir sweep-results] [--check true]
 //       Run the full grid over the comma-separated k/B/n lists and emit
 //       one JSON document per cell into --out-dir.  --n overrides the
 //       dataset spec's n= parameter, so one spec drives a scaling series.
@@ -54,13 +54,13 @@ int usage(const char* error) {
                "usage:\n"
                "  km_run list\n"
                "  km_run run   --workload W --dataset SPEC [--k 8] [--B 0]\n"
-               "               [--seed 1] [--timeline true] [--check true]\n"
+               "               [--seed 1] [--check true]\n"
                "               [--json PATH|-] [--workers 0]\n"
                "               [--trace PATH] [--trace-links]\n"
                "  km_run sweep --workload W --dataset SPEC --k K1,K2,...\n"
                "               [--B B1,...] [--n N1,...] [--seed 1]\n"
                "               [--workers 0] [--out-dir sweep-results]\n"
-               "               [--timeline true] [--check true]\n\n"
+               "               [--check true]\n\n"
                "--workers bounds the executor's OS-thread pool (0 = hardware\n"
                "concurrency); k machines multiplex over it as fibers, so k\n"
                "can far exceed the core count. Metrics identical.\n"
@@ -126,7 +126,6 @@ RunParams params_from(const Options& opts, std::uint64_t k, std::uint64_t B) {
   params.k = static_cast<std::size_t>(k);
   params.bandwidth_bits = B;
   params.seed = opts.get_uint("seed", 1);
-  params.record_timeline = opts.get_bool("timeline", true);
   params.check = opts.get_bool("check", true);
   params.workers = static_cast<std::size_t>(opts.get_uint("workers", 0));
   return params;
@@ -145,8 +144,8 @@ std::string links_path_for(const std::string& trace_path) {
 }
 
 int cmd_run(const Options& opts) {
-  opts.reject_unknown({"workload", "dataset", "k", "B", "seed", "timeline",
-                       "check", "json", "trace", "trace-links", "workers"});
+  opts.reject_unknown({"workload", "dataset", "k", "B", "seed", "check",
+                       "json", "trace", "trace-links", "workers"});
   const std::string workload_name = opts.get_string("workload", "");
   const std::string spec_text = opts.get_string("dataset", "");
   if (workload_name.empty()) return usage("run: --workload is required");
@@ -191,11 +190,6 @@ int cmd_run(const Options& opts) {
       result.trace->write_link_matrix_json(links_path);
       std::printf("wrote %s\n", links_path.c_str());
     }
-  } else if (params.trace) {
-    // Tracing compiled out (KM_DISABLE_TRACING): say so instead of
-    // silently writing nothing.
-    std::fprintf(stderr,
-                 "km_run: --trace ignored (built with KM_DISABLE_TRACING)\n");
   }
   return result.check.performed && !result.check.ok ? 1 : 0;
 }
@@ -216,7 +210,7 @@ std::string slug(const std::string& text) {
 
 int cmd_sweep(const Options& opts) {
   opts.reject_unknown({"workload", "dataset", "k", "B", "n", "seed",
-                       "timeline", "check", "out-dir", "workers"});
+                       "check", "out-dir", "workers"});
   const std::string workload_name = opts.get_string("workload", "");
   const std::string spec_text = opts.get_string("dataset", "");
   if (workload_name.empty()) return usage("sweep: --workload is required");

@@ -14,7 +14,7 @@
 //
 //   km_serve request --socket PATH --workload W --dataset SPEC [--k 8]
 //                    [--B 0] [--seed 1] [--workers 0] [--check true]
-//                    [--timeline true] [--fresh] [--meta] [--repeat 1]
+//                    [--fresh] [--meta] [--repeat 1]
 //       Send one scenario request; print the km.run_result/v1 document
 //       (one line).  --meta prints the response meta line first —
 //       its "source" field says "engine" or "result_store".
@@ -59,8 +59,8 @@ int usage(const char* error) {
                "                    [--result-store-mb 64]\n"
                "  km_serve request  --socket PATH --workload W --dataset SPEC\n"
                "                    [--k 8] [--B 0] [--seed 1] [--workers 0]\n"
-               "                    [--check true] [--timeline true]\n"
-               "                    [--fresh] [--meta] [--repeat 1]\n"
+               "                    [--check true] [--fresh] [--meta]\n"
+               "                    [--repeat 1]\n"
                "  km_serve stats    --socket PATH\n"
                "  km_serve ping     --socket PATH\n"
                "  km_serve shutdown --socket PATH\n\n"
@@ -140,8 +140,7 @@ int roundtrip(const Options& opts, const std::string& line, bool print_meta,
 
 int cmd_request(const Options& opts) {
   opts.reject_unknown({"socket", "workload", "dataset", "k", "B", "seed",
-                       "workers", "check", "timeline", "fresh", "meta",
-                       "repeat"});
+                       "workers", "check", "fresh", "meta", "repeat"});
   const std::string workload = opts.get_string("workload", "");
   const std::string dataset = opts.get_string("dataset", "");
   if (workload.empty()) return usage("request: --workload is required");
@@ -157,7 +156,6 @@ int cmd_request(const Options& opts) {
   w.field("seed", opts.get_uint("seed", 1));
   w.field("workers", opts.get_uint("workers", 0));
   w.field("check", opts.get_bool("check", true));
-  w.field("timeline", opts.get_bool("timeline", true));
   w.field("fresh", opts.get_bool("fresh", false));
   w.end_object();
   return roundtrip(opts, w.str(), opts.get_bool("meta", false),
